@@ -110,6 +110,18 @@ impl Default for DeviceConfig {
 }
 
 impl DeviceConfig {
+    /// Capacity of a device's lock-free CQE staging ring.
+    pub(crate) fn cq_staging_cap(&self) -> usize {
+        (self.rx_capacity * 2).max(256)
+    }
+
+    /// Preallocated capacity of a device's polled CQ: a full staging
+    /// ring plus a full RX ring of deliveries, so a burst of completions
+    /// does not grow the queue on the hot path.
+    pub(crate) fn polled_cq_cap(&self) -> usize {
+        self.cq_staging_cap() + self.rx_capacity
+    }
+
     /// Config preset for the ibv-like backend (Expanse stand-in).
     pub fn ibv() -> Self {
         Self::default()
@@ -190,8 +202,10 @@ pub struct TransportStats {
     /// High-water mark of per-channel ring occupancy (frames) over every
     /// shm channel touching this device's rank. Monotone.
     pub shm_ring_hwm: u64,
-    /// Times the cross-process doorbell bridge woke this rank's devices
-    /// on behalf of a remote producer. Monotone; zero in-process.
+    /// Wakes delivered to a parked waiter on this rank's transport
+    /// doorbell: shm counts parks on the rank's segment bell that a ring
+    /// ended (zero in-process, and zero while every thread busy-polls);
+    /// tcp counts its epoll thread's readiness fan-outs. Monotone.
     pub doorbell_cross_proc_wakes: u64,
     /// `writev` syscalls issued by the tcp backend that made progress.
     /// Monotone; zero on other backends.
@@ -431,8 +445,14 @@ impl NetContext {
     pub fn create_device(&self, cfg: DeviceConfig) -> Arc<dyn NetDevice> {
         // One doorbell per device, shared by the RX endpoint (remote
         // senders ring it on wire delivery) and the backend (local posts
-        // ring it when they stage completions).
-        let bell = Arc::new(Doorbell::new());
+        // ring it when they stage completions). Multi-process shm devices
+        // instead share the rank's bell on its segment futex words, which
+        // producers in other processes ring directly.
+        let rank_bell = match cfg.backend {
+            BackendKind::Shm => self.fabric.shm_fabric().state(self.rank).rank_bell().cloned(),
+            _ => None,
+        };
+        let bell = rank_bell.unwrap_or_else(|| Arc::new(Doorbell::new()));
         let rx = Arc::new(RxEndpoint::with_doorbell(cfg.rx_capacity, bell.clone()));
         let dev_id = self.fabric.add_device(self.rank, rx.clone());
         match cfg.backend {

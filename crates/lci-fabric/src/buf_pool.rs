@@ -147,6 +147,11 @@ impl PoolShared {
         let stripe = &self.stripes[origin & self.mask];
         let mut shelf = stripe.shelves[class].lock();
         if shelf.len() < self.max_per_class {
+            if shelf.capacity() == 0 {
+                // First return to this shelf: size it to its bound once,
+                // so a later deeper peak never grows it on the hot path.
+                shelf.reserve_exact(self.max_per_class);
+            }
             vec.clear();
             shelf.push(vec);
             drop(shelf);

@@ -51,11 +51,11 @@ pub(crate) struct DevShared {
 impl DevShared {
     /// Builds the shared completion state for a device. Also used by the
     /// tcp backend, whose devices carry the identical CQ structure.
-    pub(crate) fn new(dev_id: DevId, staging_cap: usize, bell: Arc<Doorbell>) -> DevShared {
+    pub(crate) fn new(dev_id: DevId, cfg: &DeviceConfig, bell: Arc<Doorbell>) -> DevShared {
         DevShared {
             dev_id,
-            cq_staging: ArrayQueue::new(staging_cap),
-            cq: SpinLock::new(VecDeque::new()),
+            cq_staging: ArrayQueue::new(cfg.cq_staging_cap()),
+            cq: SpinLock::new(VecDeque::with_capacity(cfg.polled_cq_cap())),
             bell,
         }
     }
@@ -144,12 +144,7 @@ impl ShmDevice {
                 ((0..nranks).map(|_| shared.clone()).collect(), LockDiscipline::Blocking)
             }
         };
-        let shared = Arc::new(DevShared {
-            dev_id,
-            cq_staging: ArrayQueue::new((cfg.rx_capacity * 2).max(256)),
-            cq: SpinLock::new(VecDeque::new()),
-            bell,
-        });
+        let shared = Arc::new(DevShared::new(dev_id, &cfg, bell));
         state.register_dev(shared.clone());
         Self {
             fabric,
@@ -162,7 +157,7 @@ impl ShmDevice {
             qps,
             qp_discipline,
             shared,
-            srq: SpinLock::new(VecDeque::new()),
+            srq: SpinLock::new(VecDeque::with_capacity(cfg.rx_capacity)),
             reg_cache: RegCache::new(cfg.reg_cache),
             buf_pool: BufPool::new(cfg.buf_pool),
             posted_recvs: AtomicUsize::new(0),
@@ -218,8 +213,8 @@ impl ShmDevice {
     }
 
     /// Wakes the consuming rank: in-process (or self) by ringing its
-    /// device doorbells directly, cross-process via the segment futex
-    /// (the peer's bridge thread fans it out).
+    /// device doorbells directly, cross-process by ringing its bell on
+    /// the segment futex words (a syscall only if a thread is parked).
     fn notify(&self, target: Rank) {
         if let Some(st) = self.shm.local_state(target) {
             st.ring_all_bells();

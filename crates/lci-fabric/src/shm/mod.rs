@@ -15,9 +15,13 @@
 //!   segment the first time a `shm` device is built, so every existing
 //!   test and bench can switch transports with a `DeviceConfig` alone;
 //! * **multi-process** — [`crate::bootstrap`] attaches each process to
-//!   a named segment; a per-process bridge thread converts the
-//!   segment's futex doorbell into local [`Doorbell`] rings so parked
-//!   progress engines wake across process boundaries without spinning.
+//!   a named segment. Every shm device of the rank shares one
+//!   [`Doorbell`] built on the rank's futex words in the segment
+//!   (`ShmSegment::rank_doorbell`), so a producer in
+//!   another process rings it directly and a parked progress engine
+//!   wakes without a helper thread. A producer makes the `futex_wake`
+//!   syscall only while some thread is parked there; busy-polling ranks
+//!   exchange frames without any syscall.
 
 pub mod os;
 pub mod ring;
@@ -28,14 +32,13 @@ pub(crate) mod device;
 pub use device::ShmDevice;
 pub use segment::{geometry_from_env, ShmSegment, ALLGATHER_MAX};
 
+use crate::sync::Doorbell;
 use crate::sync::SpinLock;
 use crate::types::{DevId, RecvBufDesc};
 use device::DevShared;
 use ring::Channel;
 use segment::PEER_EXITED;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
-use std::time::Duration;
+use std::sync::{Arc, OnceLock};
 
 /// Capacity of the pending-read table (outstanding `post_read`s per
 /// rank). Preallocated so the read path makes no steady-state
@@ -120,8 +123,6 @@ impl Drop for ShmFabric {
 
 /// Per-(process, rank) runtime state for the shm transport.
 pub(crate) struct ShmRankState {
-    pub(crate) rank: usize,
-    pub(crate) seg: Arc<ShmSegment>,
     /// Outbound channels, indexed by destination rank (`rank → dst`).
     outbound: Vec<Channel>,
     /// Inbound channels, indexed by source rank (`src → rank`).
@@ -138,10 +139,10 @@ pub(crate) struct ShmRankState {
     devs: crate::sync::MpmcArray<Arc<DevShared>>,
     /// Outstanding `post_read`s awaiting a `READ_RESP` frame.
     reads: SpinLock<ReadTable>,
-    /// Times the futex bridge woke and fanned out to local doorbells.
-    cross_wakes: AtomicU64,
-    bridge_shutdown: Arc<AtomicBool>,
-    bridge: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// Multi-process mode: the rank's one doorbell, on its segment futex
+    /// words, shared by every local shm device. `None` in-process, where
+    /// each device keeps its own bell.
+    bell: Option<Arc<Doorbell>>,
 }
 
 pub(crate) struct PendingRead {
@@ -193,27 +194,20 @@ impl ReadTable {
 impl ShmRankState {
     fn new(seg: Arc<ShmSegment>, rank: usize, multiproc: bool) -> Arc<ShmRankState> {
         let nranks = seg.nranks();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        Arc::new_cyclic(|weak: &Weak<ShmRankState>| {
-            let bridge = if multiproc {
-                Some(spawn_bridge(seg.clone(), rank, shutdown.clone(), weak.clone()))
-            } else {
-                None
-            };
-            ShmRankState {
-                rank,
-                outbound: (0..nranks).map(|d| seg.channel(rank, d)).collect(),
-                inbound: (0..nranks).map(|s| seg.channel(s, rank)).collect(),
-                prod_locks: (0..nranks).map(|_| SpinLock::new(())).collect(),
-                drain_locks: (0..nranks).map(|_| SpinLock::new(())).collect(),
-                devs: crate::sync::MpmcArray::with_capacity(4),
-                reads: SpinLock::new(ReadTable::new()),
-                cross_wakes: AtomicU64::new(0),
-                bridge_shutdown: shutdown,
-                bridge: Mutex::new(bridge),
-                seg,
-            }
+        Arc::new(ShmRankState {
+            outbound: (0..nranks).map(|d| seg.channel(rank, d)).collect(),
+            inbound: (0..nranks).map(|s| seg.channel(s, rank)).collect(),
+            prod_locks: (0..nranks).map(|_| SpinLock::new(())).collect(),
+            drain_locks: (0..nranks).map(|_| SpinLock::new(())).collect(),
+            devs: crate::sync::MpmcArray::with_capacity(4),
+            reads: SpinLock::new(ReadTable::new()),
+            bell: multiproc.then(|| Arc::new(seg.rank_doorbell(rank))),
         })
+    }
+
+    /// The rank's shared doorbell (multi-process mode only).
+    pub(crate) fn rank_bell(&self) -> Option<&Arc<Doorbell>> {
+        self.bell.as_ref()
     }
 
     pub(crate) fn register_dev(&self, dev: Arc<DevShared>) {
@@ -244,8 +238,13 @@ impl ShmRankState {
         (0..self.devs.len()).filter_map(|i| self.devs.read(i)).find(|d| d.dev_id() == dev)
     }
 
-    /// Rings every local shm device doorbell on this rank.
+    /// Rings every local shm device doorbell on this rank (the one rank
+    /// bell in multi-process mode).
     pub(crate) fn ring_all_bells(&self) {
+        if let Some(bell) = &self.bell {
+            bell.ring();
+            return;
+        }
         for i in 0..self.devs.len() {
             if let Some(d) = self.devs.read(i) {
                 d.bell().ring();
@@ -269,51 +268,10 @@ impl ShmRankState {
             .unwrap_or(0)
     }
 
+    /// Waits on the rank bell that parked and were ended by a ring —
+    /// the wakes delivered to a parked waiter on this rank. Zero
+    /// in-process, and zero while nothing on the rank ever parks.
     pub(crate) fn cross_proc_wakes(&self) -> u64 {
-        self.cross_wakes.load(Ordering::Relaxed)
+        self.bell.as_ref().map_or(0, |b| b.wakes())
     }
-}
-
-impl Drop for ShmRankState {
-    fn drop(&mut self) {
-        self.bridge_shutdown.store(true, Ordering::Release);
-        if let Some(h) = self.bridge.lock().expect("bridge handle poisoned").take() {
-            // Unpark the bridge so it observes the shutdown flag.
-            self.seg.ring_doorbell(self.rank);
-            let _ = h.join();
-        }
-    }
-}
-
-/// The cross-process doorbell bridge: parks on this rank's futex word
-/// in the segment and fans each wake out to the local [`Doorbell`]s of
-/// every shm device on the rank — the piece that lets a `Dedicated`
-/// progress engine sleep while a *remote process* produces frames.
-///
-/// [`Doorbell`]: crate::sync::Doorbell
-fn spawn_bridge(
-    seg: Arc<ShmSegment>,
-    rank: usize,
-    shutdown: Arc<AtomicBool>,
-    state: Weak<ShmRankState>,
-) -> std::thread::JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("lci-shm-bridge{rank}"))
-        .spawn(move || {
-            let mut seen = seg.doorbell_seq(rank);
-            loop {
-                if shutdown.load(Ordering::Acquire) {
-                    break;
-                }
-                let cur = seg.doorbell_wait(rank, seen, Duration::from_millis(100));
-                if cur == seen {
-                    continue;
-                }
-                seen = cur;
-                let Some(st) = state.upgrade() else { break };
-                st.cross_wakes.fetch_add(1, Ordering::Relaxed);
-                st.ring_all_bells();
-            }
-        })
-        .expect("failed to spawn shm doorbell bridge")
 }

@@ -190,16 +190,19 @@ pub fn futex_wait(word: &AtomicU32, expected: u32, timeout: Duration) {
     }
 }
 
-/// Wakes up to `n` waiters blocked in [`futex_wait`] on `word`.
+/// Wakes up to `n` waiters blocked in [`futex_wait`] on `word`;
+/// `u32::MAX` wakes them all.
 pub fn futex_wake(word: &AtomicU32, n: u32) {
     #[cfg(target_os = "linux")]
-    // SAFETY: see `futex_wait`.
+    // SAFETY: see `futex_wait`. The kernel reads `nr_wake` as a signed
+    // int, where `u32::MAX` would be -1 and stop after the first waiter:
+    // clamp it to the largest positive count.
     unsafe {
         ffi::syscall(
             ffi::SYS_FUTEX,
             word as *const AtomicU32,
             ffi::FUTEX_WAKE,
-            n as usize,
+            n.min(i32::MAX as u32) as usize,
             std::ptr::null::<ffi::Timespec>(),
         );
     }
@@ -311,5 +314,36 @@ mod tests {
         w.store(1, Ordering::Release);
         futex_wake(&w, u32::MAX);
         h.join().unwrap();
+    }
+
+    #[test]
+    fn futex_wake_all_releases_every_waiter() {
+        // Three threads park on one word with a long timeout; a single
+        // wake-all must release them all well inside it.
+        const PARK: Duration = Duration::from_secs(5);
+        let w = Arc::new(AtomicU32::new(0));
+        let parked = Arc::new(AtomicU32::new(0));
+        let waiters: Vec<_> = (0..3)
+            .map(|_| {
+                let (w, parked) = (w.clone(), parked.clone());
+                std::thread::spawn(move || {
+                    parked.fetch_add(1, Ordering::SeqCst);
+                    let t0 = std::time::Instant::now();
+                    futex_wait(&w, 0, PARK);
+                    t0.elapsed()
+                })
+            })
+            .collect();
+        while parked.load(Ordering::SeqCst) < 3 {
+            std::thread::yield_now();
+        }
+        // Let all three reach the kernel before the (single) wake.
+        std::thread::sleep(Duration::from_millis(50));
+        w.store(1, Ordering::SeqCst);
+        futex_wake(&w, u32::MAX);
+        for h in waiters {
+            let slept = h.join().unwrap();
+            assert!(slept < Duration::from_secs(2), "a waiter slept out its timeout: {slept:?}");
+        }
     }
 }

@@ -20,8 +20,10 @@
 
 use super::os::{self, Mapping};
 use super::ring::{ChanGeometry, Channel};
+use crate::sync::{self, Doorbell};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const SHM_MAGIC: u64 = 0x4C43_4953_484D_5631; // "LCISHMV1"
@@ -64,10 +66,12 @@ pub struct PeerSlot {
     pub pid: AtomicU64,
     /// One of `PEER_*`.
     pub state: AtomicU32,
-    /// Doorbell futex word: bumped by remote producers after enqueueing
-    /// frames for this rank.
+    /// Doorbell futex word: bumped by producers after enqueueing frames
+    /// for this rank. The epoch of the rank's [`Doorbell`] in
+    /// multi-process mode.
     pub futex_seq: AtomicU32,
-    /// Number of threads parked (or about to park) on `futex_seq`.
+    /// Number of threads parked (or about to park) on `futex_seq`, in
+    /// any process.
     pub waiters: AtomicU32,
 }
 
@@ -374,35 +378,37 @@ impl ShmSegment {
         out
     }
 
-    /// Rings `rank`'s cross-process doorbell: bumps its futex word and
-    /// wakes its bridge thread if one is parked. Returns whether a
+    /// Rings `rank`'s cross-process doorbell: bumps its futex word and,
+    /// only if a thread is parked on it, wakes every such thread — the
+    /// busy-polling common case makes no syscall. Returns whether a
     /// waiter was (probably) woken.
     pub fn ring_doorbell(&self, rank: usize) -> bool {
         let p = self.peer(rank);
-        p.futex_seq.fetch_add(1, Ordering::Release);
-        if p.waiters.load(Ordering::Acquire) > 0 {
-            os::futex_wake(&p.futex_seq, u32::MAX);
-            true
-        } else {
-            false
-        }
+        sync::ring_words(&p.futex_seq, &p.waiters)
     }
 
     /// Parks on `rank`'s doorbell futex until its sequence moves past
     /// `seen` or `timeout` elapses. Returns the current sequence.
     pub fn doorbell_wait(&self, rank: usize, seen: u32, timeout: Duration) -> u32 {
         let p = self.peer(rank);
-        p.waiters.fetch_add(1, Ordering::AcqRel);
-        if p.futex_seq.load(Ordering::Acquire) == seen {
-            os::futex_wait(&p.futex_seq, seen, timeout);
-        }
-        p.waiters.fetch_sub(1, Ordering::AcqRel);
-        p.futex_seq.load(Ordering::Acquire)
+        sync::wait_words(&p.futex_seq, &p.waiters, seen, timeout);
+        p.futex_seq.load(Ordering::SeqCst)
+    }
+
+    /// A [`Doorbell`] on `rank`'s segment words: ringing it (from this
+    /// or any other process, through either the bell or
+    /// [`ring_doorbell`](Self::ring_doorbell)) wakes every thread parked
+    /// on it, in any process. The bell keeps the mapping alive.
+    pub(crate) fn rank_doorbell(self: &Arc<Self>, rank: usize) -> Doorbell {
+        let p = self.peer(rank);
+        // SAFETY: the words lie inside `self.map`, which the owner Arc
+        // keeps mapped for the doorbell's lifetime.
+        unsafe { Doorbell::on_shared_words(self.clone(), &p.futex_seq, &p.waiters) }
     }
 
     /// Current doorbell sequence for `rank`.
     pub fn doorbell_seq(&self, rank: usize) -> u32 {
-        self.peer(rank).futex_seq.load(Ordering::Acquire)
+        self.peer(rank).futex_seq.load(Ordering::SeqCst)
     }
 
     /// Removes the backing file (multi-process mode). Safe to call once
@@ -507,5 +513,42 @@ mod tests {
         assert_eq!(seg.channel(0, 1).occupancy(), 0);
         seg.unlink();
         assert!(!path.exists());
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn rank_doorbell_rung_through_a_second_mapping() {
+        // A thread parks on the rank bell of one mapping; rings through a
+        // second, independent mapping of the same file (as a peer process
+        // would) must wake it, and counted waiters must be visible there.
+        let path = std::env::temp_dir().join(format!("lci-shm-bell-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let seg = Arc::new(ShmSegment::create_file(&path, 2, geo()).unwrap());
+        let other = ShmSegment::attach_file(&path, Duration::from_secs(2)).unwrap();
+        seg.unlink();
+        let bell = Arc::new(seg.rank_doorbell(1));
+        assert!(bell.is_shared());
+        for round in 0..3 {
+            let seen = bell.epoch();
+            let waiter = {
+                let bell = bell.clone();
+                std::thread::spawn(move || {
+                    let t0 = Instant::now();
+                    let advanced = bell.wait(seen, Duration::from_secs(10));
+                    (advanced, t0.elapsed())
+                })
+            };
+            while other.peer(1).waiters.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
+            // Let the waiter reach the kernel, so the ring must wake it.
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(other.ring_doorbell(1), "round {round}: parked waiter not seen");
+            let (advanced, slept) = waiter.join().unwrap();
+            assert!(advanced && slept < Duration::from_secs(5), "round {round}: {slept:?}");
+            assert_eq!(other.doorbell_seq(1), seen.wrapping_add(1));
+        }
+        // Nobody parked: ringing costs no wake.
+        assert!(!other.ring_doorbell(1));
     }
 }

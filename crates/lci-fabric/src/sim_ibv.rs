@@ -118,9 +118,9 @@ impl IbvDevice {
             rx,
             qps,
             qp_discipline,
-            cq_staging: ArrayQueue::new((cfg.rx_capacity * 2).max(256)),
-            cq: SpinLock::new(VecDeque::new()),
-            srq: SpinLock::new(VecDeque::new()),
+            cq_staging: ArrayQueue::new(cfg.cq_staging_cap()),
+            cq: SpinLock::new(VecDeque::with_capacity(cfg.polled_cq_cap())),
+            srq: SpinLock::new(VecDeque::with_capacity(cfg.rx_capacity)),
             reg_cache: RegCache::new(cfg.reg_cache),
             buf_pool: BufPool::new(cfg.buf_pool),
             posted_recvs: AtomicUsize::new(0),

@@ -71,7 +71,11 @@ impl OfiDevice {
             dev_id,
             cfg,
             rx,
-            ep: SpinLock::new(EpState { srq: VecDeque::new(), cq: VecDeque::new(), posted: 0 }),
+            ep: SpinLock::new(EpState {
+                srq: VecDeque::with_capacity(cfg.rx_capacity),
+                cq: VecDeque::with_capacity(cfg.polled_cq_cap()),
+                posted: 0,
+            }),
             reg_cache: RegCache::new(cfg.reg_cache),
             buf_pool: BufPool::new(cfg.buf_pool),
             posted_recvs: AtomicUsize::new(0),

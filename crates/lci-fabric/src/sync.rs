@@ -4,11 +4,14 @@
 //! [`Doorbell`] eventcount that lets progress threads park instead of
 //! spin-polling.
 
+use crate::shm::os::{futex_wait, futex_wake};
+use std::any::Any;
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Duration;
+use std::ptr::NonNull;
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 /// A simple test-and-test-and-set spinlock.
 ///
@@ -362,6 +365,12 @@ impl<T: Clone> Default for MpmcArray<T> {
 /// nothing, instead of burning a core (the concern the AMT companion
 /// paper raises about burn-a-core progress engines).
 ///
+/// A doorbell is two `u32` words — the epoch, which doubles as the
+/// futex word waiters sleep on, and a waiter count — either embedded in
+/// the doorbell ([`Doorbell::new`]) or living in a shared mapping (the
+/// shm rank bell), where another *process* can ring it by bumping the
+/// same words ([`crate::shm::ShmSegment::ring_doorbell`]).
+///
 /// ## Protocol (no lost wakeups)
 ///
 /// The waiter:
@@ -370,31 +379,49 @@ impl<T: Clone> Default for MpmcArray<T> {
 /// 3. calls [`Doorbell::wait`]`(seen, ..)`, which parks only while the
 ///    epoch still equals `seen`.
 ///
-/// The ringer bumps the epoch *after* publishing the work, then wakes any
-/// parked waiters. A SeqCst fence separates each side's store from its
-/// subsequent load (store-buffer litmus): either the ringer observes the
-/// registered waiter and takes the mutex to notify it, or the waiter's
-/// epoch check (made while holding the mutex) observes the bumped epoch
-/// and returns without parking. The work published before the epoch bump
-/// is visible to any waiter that observes the bump (release/acquire on
-/// the epoch counter).
+/// The ringer bumps the epoch *after* publishing the work, then wakes
+/// parked waiters if the waiter count is non-zero. Both sides use
+/// SeqCst for their store (ringer: epoch bump; waiter: count increment)
+/// and their subsequent load (ringer: count; waiter: epoch), so in the
+/// single total order either the ringer observes the registered waiter
+/// and issues the wake, or the waiter observes the bumped epoch and
+/// returns without parking (store-buffer litmus). A wake that races the
+/// waiter's entry into the kernel is not lost either: `FUTEX_WAIT`
+/// re-checks the word against `seen` atomically with enqueueing. Work
+/// published before the bump is visible to a waiter that observes the
+/// bump (the SeqCst bump and load also pair as release/acquire). The
+/// ringer makes no syscall at all while nobody is parked.
 pub struct Doorbell {
-    /// Bumped on every ring; waiters park only while it is unchanged.
-    epoch: AtomicU64,
-    /// Total rings (stats; relaxed).
+    words: Words,
+    /// Total rings through this handle (stats; relaxed).
     rings: AtomicU64,
-    /// Number of threads registered in [`Doorbell::wait`]. A ringer only
-    /// touches the mutex when this is non-zero, so the idle-free fast
-    /// path of `ring` is a handful of atomics.
-    waiters: AtomicUsize,
-    mutex: Mutex<()>,
-    cond: Condvar,
+    /// Waits that parked and were ended by a ring (stats; relaxed).
+    wakes: AtomicU64,
     /// Peer doorbells also rung by [`Doorbell::ring`] — used by progress
     /// threads to aggregate several devices' doorbells into one parkable
-    /// bell. One level only: subscribers must not have subscribers of
-    /// their own (no cycle detection is performed).
+    /// bell. The subscription graph must stay acyclic (no cycle
+    /// detection is performed).
     subscribers: OnceLock<MpmcArray<Arc<Doorbell>>>,
 }
+
+/// Where a doorbell's epoch and waiter-count words live.
+enum Words {
+    Own {
+        epoch: AtomicU32,
+        waiters: AtomicU32,
+    },
+    /// Words inside a mapping kept alive by `_owner`.
+    Shared {
+        epoch: NonNull<AtomicU32>,
+        waiters: NonNull<AtomicU32>,
+        _owner: Arc<dyn Any + Send + Sync>,
+    },
+}
+
+// SAFETY: the shared words are atomics inside a mapping that `_owner`
+// keeps alive for the doorbell's lifetime; every access is atomic.
+unsafe impl Send for Words {}
+unsafe impl Sync for Words {}
 
 impl Default for Doorbell {
     fn default() -> Self {
@@ -403,46 +430,84 @@ impl Default for Doorbell {
 }
 
 impl Doorbell {
-    /// Creates a quiet doorbell. Allocation-free (subscriber storage is
-    /// created lazily), so it can be embedded in hot-path objects.
+    /// Creates a quiet, process-local doorbell. Allocation-free
+    /// (subscriber storage is created lazily), so it can be embedded in
+    /// hot-path objects.
     pub const fn new() -> Self {
+        Self::with_words(Words::Own { epoch: AtomicU32::new(0), waiters: AtomicU32::new(0) })
+    }
+
+    /// A doorbell whose epoch and waiter count are the given words of a
+    /// shared mapping, so every process mapping them rings and parks on
+    /// one bell.
+    ///
+    /// # Safety
+    /// `epoch` and `waiters` must stay valid for as long as `owner` is
+    /// alive (typically: they lie inside a mapping `owner` holds).
+    pub(crate) unsafe fn on_shared_words(
+        owner: Arc<dyn Any + Send + Sync>,
+        epoch: &AtomicU32,
+        waiters: &AtomicU32,
+    ) -> Self {
+        Self::with_words(Words::Shared {
+            epoch: NonNull::from(epoch),
+            waiters: NonNull::from(waiters),
+            _owner: owner,
+        })
+    }
+
+    const fn with_words(words: Words) -> Self {
         Self {
-            epoch: AtomicU64::new(0),
+            words,
             rings: AtomicU64::new(0),
-            waiters: AtomicUsize::new(0),
-            mutex: Mutex::new(()),
-            cond: Condvar::new(),
+            wakes: AtomicU64::new(0),
             subscribers: OnceLock::new(),
         }
     }
 
-    /// Current epoch; pass it to [`Doorbell::wait`] after a failed poll.
     #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+    fn words(&self) -> (&AtomicU32, &AtomicU32) {
+        match &self.words {
+            Words::Own { epoch, waiters } => (epoch, waiters),
+            // SAFETY: `_owner` keeps the mapping alive (constructor
+            // contract).
+            Words::Shared { epoch, waiters, .. } => unsafe { (epoch.as_ref(), waiters.as_ref()) },
+        }
     }
 
-    /// Total number of rings so far (stats).
+    /// Whether this doorbell lives on words in a mapping shared with
+    /// other processes, which ring it without going through this handle.
+    pub fn is_shared(&self) -> bool {
+        matches!(self.words, Words::Shared { .. })
+    }
+
+    /// Current epoch; pass it to [`Doorbell::wait`] after a failed poll.
+    #[inline]
+    pub fn epoch(&self) -> u32 {
+        self.words().0.load(Ordering::SeqCst)
+    }
+
+    /// Total number of rings through this handle so far (stats). Rings
+    /// made by other processes on shared words are not counted.
     #[inline]
     pub fn rings(&self) -> u64 {
         self.rings.load(Ordering::Relaxed)
+    }
+
+    /// Number of [`Doorbell::wait`] calls that parked and were woken by
+    /// a ring (stats).
+    #[inline]
+    pub(crate) fn wakes(&self) -> u64 {
+        self.wakes.load(Ordering::Relaxed)
     }
 
     /// Rings the doorbell: bumps the epoch, wakes parked waiters, and
     /// forwards the ring to subscribed peer doorbells.
     #[inline]
     pub fn ring(&self) {
-        self.epoch.fetch_add(1, Ordering::Release);
+        let (epoch, waiters) = self.words();
         self.rings.fetch_add(1, Ordering::Relaxed);
-        // Store-buffer fence: pairs with the fence in `wait` so that at
-        // least one side observes the other (see type-level docs).
-        fence(Ordering::SeqCst);
-        if self.waiters.load(Ordering::Relaxed) > 0 {
-            // Taking the mutex serializes with a waiter between its epoch
-            // check and its condvar wait, so the notify cannot be lost.
-            let _g = self.mutex.lock().expect("Doorbell mutex poisoned");
-            self.cond.notify_all();
-        }
+        ring_words(epoch, waiters);
         if let Some(subs) = self.subscribers.get() {
             for i in 0..subs.len() {
                 if let Some(peer) = subs.read(i) {
@@ -455,7 +520,8 @@ impl Doorbell {
     /// Also rings `peer` on every subsequent ring of `self`.
     ///
     /// Used once per (device, progress thread) pairing at spawn time;
-    /// subscriptions cannot be removed.
+    /// subscriptions cannot be removed. Rings that reach shared words
+    /// from another process bypass `self` and are not forwarded.
     pub fn subscribe(&self, peer: Arc<Doorbell>) {
         self.subscribers.get_or_init(|| MpmcArray::with_capacity(2)).push(peer);
     }
@@ -465,30 +531,53 @@ impl Doorbell {
     ///
     /// The timeout is a belt-and-braces bound, not part of the
     /// correctness argument: callers re-poll after every return.
-    pub fn wait(&self, seen: u64, timeout: Duration) -> bool {
-        let mut g = self.mutex.lock().expect("Doorbell mutex poisoned");
-        self.waiters.fetch_add(1, Ordering::Relaxed);
-        // Store-buffer fence: pairs with the fence in `ring`.
-        fence(Ordering::SeqCst);
-        let deadline = std::time::Instant::now() + timeout;
-        let advanced = loop {
-            if self.epoch.load(Ordering::Acquire) != seen {
-                break true;
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                break false;
-            }
-            let (g2, res) =
-                self.cond.wait_timeout(g, deadline - now).expect("Doorbell mutex poisoned");
-            g = g2;
-            if res.timed_out() {
-                break self.epoch.load(Ordering::Acquire) != seen;
-            }
-        };
-        self.waiters.fetch_sub(1, Ordering::Relaxed);
+    pub fn wait(&self, seen: u32, timeout: Duration) -> bool {
+        let (epoch, waiters) = self.words();
+        let (advanced, slept) = wait_words(epoch, waiters, seen, timeout);
+        if advanced && slept {
+            self.wakes.fetch_add(1, Ordering::Relaxed);
+        }
         advanced
     }
+}
+
+/// Ringer half of the eventcount handshake on raw words (see
+/// [`Doorbell`]): bumps `epoch` and, only if a waiter is registered,
+/// wakes every thread parked on it. Returns whether it woke anyone.
+pub(crate) fn ring_words(epoch: &AtomicU32, waiters: &AtomicU32) -> bool {
+    epoch.fetch_add(1, Ordering::SeqCst);
+    if waiters.load(Ordering::SeqCst) == 0 {
+        return false;
+    }
+    futex_wake(epoch, u32::MAX);
+    true
+}
+
+/// Waiter half of the handshake: parks on `epoch` while it equals
+/// `seen`, for at most `timeout`. Returns `(advanced, slept)`: whether
+/// the epoch moved, and whether the thread entered the kernel to park.
+pub(crate) fn wait_words(
+    epoch: &AtomicU32,
+    waiters: &AtomicU32,
+    seen: u32,
+    timeout: Duration,
+) -> (bool, bool) {
+    waiters.fetch_add(1, Ordering::SeqCst);
+    let deadline = Instant::now() + timeout;
+    let mut slept = false;
+    let advanced = loop {
+        if epoch.load(Ordering::SeqCst) != seen {
+            break true;
+        }
+        let now = Instant::now();
+        if now >= deadline {
+            break false;
+        }
+        futex_wait(epoch, seen, deadline - now);
+        slept = true;
+    };
+    waiters.fetch_sub(1, Ordering::SeqCst);
+    (advanced, slept)
 }
 
 impl std::fmt::Debug for Doorbell {
@@ -496,6 +585,7 @@ impl std::fmt::Debug for Doorbell {
         f.debug_struct("Doorbell")
             .field("epoch", &self.epoch())
             .field("rings", &self.rings())
+            .field("shared", &self.is_shared())
             .finish()
     }
 }

@@ -93,7 +93,7 @@ impl TcpDevice {
                 ((0..nranks).map(|_| shared.clone()).collect(), LockDiscipline::Blocking)
             }
         };
-        let shared = Arc::new(DevShared::new(dev_id, (cfg.rx_capacity * 2).max(256), bell));
+        let shared = Arc::new(DevShared::new(dev_id, &cfg, bell));
         state.register_dev(shared.clone());
         // The bridge's backstop flush follows the same gather/no-gather
         // mode as this rank's devices (ablation runs set it uniformly).
@@ -109,7 +109,7 @@ impl TcpDevice {
             qps,
             qp_discipline,
             shared,
-            srq: SpinLock::new(VecDeque::new()),
+            srq: SpinLock::new(VecDeque::with_capacity(cfg.rx_capacity)),
             reg_cache: RegCache::new(cfg.reg_cache),
             buf_pool: BufPool::new(cfg.buf_pool),
             posted_recvs: AtomicUsize::new(0),

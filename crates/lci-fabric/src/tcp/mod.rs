@@ -16,8 +16,9 @@
 //! Receives bulk-read into the decoder's reassembly slab. An
 //! edge-triggered epoll instance per rank feeds a bridge thread that
 //! converts socket readiness into [`Doorbell`](crate::sync::Doorbell)
-//! rings, so Dedicated/Hybrid engines park instead of spinning —
-//! the cross-host mirror of the shm futex bridge.
+//! rings, so Dedicated/Hybrid engines park instead of spinning. (The
+//! shm wire needs no such thread: producers there ring the rank's bell
+//! on its segment futex words directly; a socket has no shared word.)
 //!
 //! Two modes, like shm: **in-process** (lazy loopback mesh, so any test
 //! or bench switches with a `DeviceConfig` alone) and **multi-process**
@@ -592,9 +593,8 @@ impl Drop for TcpRankState {
 
 /// The socket-readiness bridge: parks in `epoll_wait` over every mesh
 /// socket of this rank and converts readiness edges into local
-/// [`Doorbell`](crate::sync::Doorbell) rings — the tcp counterpart of
-/// the shm futex bridge. On platforms without epoll it degrades to a
-/// timed tick that re-arms the readable flags.
+/// [`Doorbell`](crate::sync::Doorbell) rings. On platforms without
+/// epoll it degrades to a timed tick that re-arms the readable flags.
 fn spawn_bridge(
     rank: usize,
     conns: &[Option<Arc<Conn>>],

@@ -24,8 +24,8 @@ use crate::types::{
 use crate::util::ShardedSlab;
 use lci_fabric::sync::{Doorbell, SpinLock};
 use lci_fabric::{
-    BufPool, Cqe, CqeKind, DevId, MemoryRegion, NetDevice, NetError, PoolBuf, RecvBufDesc, Rkey,
-    SendDesc,
+    BufPool, Cqe, CqeKind, DevId, MemoryRegion, NetDevice, NetError, PoolBuf, RecvBufDesc,
+    RetryReason, Rkey, SendDesc,
 };
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -611,6 +611,9 @@ impl Device {
             None => (MsgType::Eager, 0),
         };
         let imm = Header::new(ty, args.policy, args.tag, aux).encode();
+        // A send that may not retry parks behind any backlogged sends
+        // rather than overtaking them (the backlog drains FIFO).
+        let behind_backlog = !args.allow_retry && !self.inner.backlog.is_empty();
 
         if coalescable {
             // Coalescing path: absorb the message into the destination's
@@ -640,7 +643,7 @@ impl Device {
             }));
         }
 
-        if size <= cfg.inject_size {
+        if size <= cfg.inject_size && !behind_backlog {
             // Inject protocol: completes immediately; the completion
             // object is *not* signaled (paper §3.2.5 "done"). Contiguous
             // buffers post without the flatten staging copy.
@@ -683,7 +686,14 @@ impl Device {
             tag: args.tag,
             user_ctx: args.user_ctx,
         });
-        match self.inner.net.post_send(args.rank, target_dev, &data, imm, ctx) {
+        // Behind the backlog the wire counts as full: the no-retry arm
+        // below parks the send.
+        let res = if behind_backlog {
+            Err(NetError::Retry(RetryReason::RxFull))
+        } else {
+            self.inner.net.post_send(args.rank, target_dev, &data, imm, ctx)
+        };
+        match res {
             Ok(()) => Ok(PostResult::Posted),
             Err(e) => {
                 match e {
@@ -743,7 +753,14 @@ impl Device {
         };
         let imm = Header::new(ty, policy, tag, aux).encode();
         let payload = RtsPayload { send_id, size }.encode();
-        match self.inner.net.post_send(rank, target_dev, &payload, imm, 0) {
+        // As on the eager path, a no-retry RTS must not overtake the
+        // backlog: the wire counts as full and the RTS parks behind it.
+        let res = if !allow_retry && !self.inner.backlog.is_empty() {
+            Err(NetError::Retry(RetryReason::RxFull))
+        } else {
+            self.inner.net.post_send(rank, target_dev, &payload, imm, 0)
+        };
+        match res {
             Ok(()) => Ok(PostResult::Posted),
             Err(NetError::Retry(r)) => {
                 if allow_retry {

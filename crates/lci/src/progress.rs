@@ -29,6 +29,13 @@
 //! parks on that; the eventcount protocol (epoch read → poll → park only
 //! if the epoch is unchanged) makes lost wakeups impossible — see the
 //! [`lci_fabric::Doorbell`] docs and DESIGN.md §4.8 for the argument.
+//!
+//! A multi-process shm rank's devices share one bell on the rank's
+//! segment futex words, which producers in *other processes* ring
+//! without passing through any local bell. A thread owning such a
+//! device therefore parks on that shared bell itself, and its
+//! aggregate bell forwards its own rings (other devices, shutdown,
+//! new-device notices) into the shared one.
 
 use crate::device::Device;
 use crate::runtime::RuntimeInner;
@@ -237,6 +244,9 @@ fn progress_thread_main(
     let mut window_useful: u32 = 0;
     // Devices already checked for doorbell subscription (registry index).
     let mut subscribed = 0usize;
+    // The bell this thread parks on: its aggregate bell, or a device's
+    // shared (cross-process) bell once it owns one.
+    let mut park_bell = bell.clone();
     loop {
         // Upgrade per iteration: the parked/idle thread must not keep the
         // runtime alive, or user handles dropping could never tear it down.
@@ -248,22 +258,40 @@ fn progress_thread_main(
         }
         // Epoch snapshot BEFORE the sweep: any ring that lands after this
         // read makes the park below return immediately (eventcount).
-        let seen = bell.epoch();
+        let seen = park_bell.epoch();
 
         // Subscribe this thread's aggregate bell to newly created
         // devices in its partition. Subscribe-then-sweep ordering closes
         // the gap: work that rang the device bell before the
         // subscription is found by the sweep that follows.
         let ndev = rt.devices.len();
+        let mut switched = false;
         while subscribed < ndev {
             if subscribed % nthreads == slot {
                 if let Some(dev) = rt.devices.read(subscribed).and_then(|w| w.upgrade()) {
-                    if let Some(dev_bell) = dev.net.doorbell() {
-                        dev_bell.subscribe(bell.clone());
+                    match dev.net.doorbell() {
+                        Some(dev_bell) if !dev_bell.is_shared() => dev_bell.subscribe(bell.clone()),
+                        // A shared bell is rung from other processes
+                        // directly: park on it, and forward the
+                        // aggregate's rings into it (never the reverse,
+                        // which would close a cycle). One runtime has
+                        // one rank, hence at most one shared bell.
+                        Some(dev_bell) if !Arc::ptr_eq(&park_bell, &dev_bell) => {
+                            bell.subscribe(dev_bell.clone());
+                            park_bell = dev_bell;
+                            switched = true;
+                        }
+                        _ => {}
                     }
                 }
             }
             subscribed += 1;
+        }
+        if switched {
+            // `seen` was read from the previous bell: re-snapshot from
+            // the new one before any sweep that may end in a park.
+            drop(rt);
+            continue;
         }
 
         let mut did = false;
@@ -348,7 +376,7 @@ fn progress_thread_main(
                 i += nthreads;
             }
             drop(rt);
-            bell.wait(seen, PARK_TIMEOUT);
+            park_bell.wait(seen, PARK_TIMEOUT);
             // Doorbell-driven regime: re-park on the short ramp until a
             // busy streak proves a streaming phase is on.
             parked_regime = true;

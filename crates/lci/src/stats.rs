@@ -273,6 +273,8 @@ pub struct StatsSnapshot {
     /// Times the device's fabric doorbell rang (overlaid by
     /// [`Device::stats`](crate::device::Device::stats) from the
     /// [`lci_fabric::Doorbell`] counter, not tracked in [`DeviceStats`]).
+    /// Multi-process shm devices share their rank's bell, so each reports
+    /// the rank's local rings; rings from peer processes are not counted.
     pub doorbell_rings: u64,
     /// Registration-cache hits on the device's fabric cache (overlaid by
     /// [`Device::stats`](crate::device::Device::stats), not tracked in
@@ -308,8 +310,10 @@ pub struct StatsSnapshot {
     /// [`Device::stats`](crate::device::Device::stats) from the
     /// transport; zero on simulated backends).
     pub shm_ring_hwm: u64,
-    /// Cross-process doorbell wakes delivered to this device's rank by
-    /// the shm futex bridge (overlaid by
+    /// Wakes delivered to a parked waiter on this device's rank by its
+    /// transport doorbell — on shm, parks on the rank's segment bell
+    /// ended by a ring, so zero while every thread busy-polls; on tcp,
+    /// the epoll thread's fan-outs (overlaid by
     /// [`Device::stats`](crate::device::Device::stats); zero in-process
     /// and on simulated backends).
     pub doorbell_cross_proc_wakes: u64,

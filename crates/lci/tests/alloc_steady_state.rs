@@ -15,7 +15,7 @@ use crossbeam::queue::ArrayQueue;
 use lci::{Comp, CompDesc, DataBuf, Fabric, PostResult, Runtime, RuntimeConfig, SendBuf};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Counts every allocation call (alloc, alloc_zeroed, realloc) passing
 /// through the global allocator. Frees are not counted: the audit is
@@ -55,6 +55,24 @@ fn alloc_calls() -> u64 {
 /// The counter is process-global, so tests must not overlap; the test
 /// runner uses one thread per test by default. Locking never allocates.
 static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes the serializing lock. A failed test poisons it while holding
+/// the guard; recover the guard so every later test still reports only
+/// its own result.
+///
+/// The lock is released when the previous test's body returns, but the
+/// test runner's own bookkeeping for that test (its completion message,
+/// the running-test table, spawning the next test's thread) runs just
+/// after, on other threads: it allocates, and on a 2-core box it also
+/// takes a core from the rank threads of a collective audit, whose
+/// queues then run deeper than in any warmup iteration. Let it settle
+/// before this test opens a measurement window, so the global counter
+/// sees only the code under audit.
+fn serial() -> MutexGuard<'static, ()> {
+    let guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    guard
+}
 
 /// Two single-threaded ranks over one fabric plus fixed-capacity
 /// completion collectors (handler comps push into bounded queues —
@@ -180,7 +198,7 @@ fn steady_state_allocs_cfg(cfg: RuntimeConfig, size: usize, warmup: usize, iters
 /// allocation-free at steady state.
 #[test]
 fn inject_steady_state_is_allocation_free() {
-    let _g = SERIAL.lock().unwrap();
+    let _g = serial();
     let allocs = steady_state_allocs(true, 8, 64, 256);
     assert_eq!(allocs, 0, "8-byte inject loop made {allocs} allocator calls after warmup");
 }
@@ -190,7 +208,7 @@ fn inject_steady_state_is_allocation_free() {
 /// operation once shelves are warm.
 #[test]
 fn eager_steady_state_is_allocation_free() {
-    let _g = SERIAL.lock().unwrap();
+    let _g = serial();
     let allocs = steady_state_allocs(true, 512, 64, 256);
     assert_eq!(allocs, 0, "512-byte eager loop made {allocs} allocator calls after warmup");
 }
@@ -200,7 +218,7 @@ fn eager_steady_state_is_allocation_free() {
 /// the large-message pipeline allocation-free at steady state.
 #[test]
 fn rendezvous_steady_state_is_allocation_free() {
-    let _g = SERIAL.lock().unwrap();
+    let _g = serial();
     let allocs = steady_state_allocs(true, 256 << 10, 16, 32);
     assert_eq!(allocs, 0, "256 KiB rendezvous loop made {allocs} allocator calls after warmup");
 }
@@ -211,7 +229,7 @@ fn rendezvous_steady_state_is_allocation_free() {
 /// never calls the allocator once warm.
 #[test]
 fn shm_eager_steady_state_is_allocation_free() {
-    let _g = SERIAL.lock().unwrap();
+    let _g = serial();
     let allocs = steady_state_allocs_on(lci_fabric::DeviceConfig::shm(), true, 512, 64, 256);
     assert_eq!(allocs, 0, "shm 512-byte eager loop made {allocs} allocator calls after warmup");
 }
@@ -221,7 +239,7 @@ fn shm_eager_steady_state_is_allocation_free() {
 /// shared segment — still zero allocator calls per transfer.
 #[test]
 fn shm_rendezvous_steady_state_is_allocation_free() {
-    let _g = SERIAL.lock().unwrap();
+    let _g = serial();
     let allocs = steady_state_allocs_on(lci_fabric::DeviceConfig::shm(), true, 256 << 10, 16, 32);
     assert_eq!(allocs, 0, "shm 256 KiB rendezvous loop made {allocs} allocator calls after warmup");
 }
@@ -242,7 +260,7 @@ fn placed_cfg(size_hint: lci_fabric::DeviceConfig) -> RuntimeConfig {
 /// calls once warm.
 #[test]
 fn placed_inject_steady_state_is_allocation_free() {
-    let _g = SERIAL.lock().unwrap();
+    let _g = serial();
     let allocs = steady_state_allocs_cfg(placed_cfg(lci_fabric::DeviceConfig::ibv()), 8, 64, 256);
     assert_eq!(allocs, 0, "placed 8-byte inject loop made {allocs} allocator calls after warmup");
 }
@@ -252,7 +270,7 @@ fn placed_inject_steady_state_is_allocation_free() {
 /// allocation-free as the single-shelf one.
 #[test]
 fn placed_eager_steady_state_is_allocation_free() {
-    let _g = SERIAL.lock().unwrap();
+    let _g = serial();
     let allocs = steady_state_allocs_cfg(placed_cfg(lci_fabric::DeviceConfig::ibv()), 512, 64, 256);
     assert_eq!(allocs, 0, "placed 512-byte eager loop made {allocs} allocator calls after warmup");
 }
@@ -262,7 +280,7 @@ fn placed_eager_steady_state_is_allocation_free() {
 /// allocator calls per transfer.
 #[test]
 fn placed_rendezvous_steady_state_is_allocation_free() {
-    let _g = SERIAL.lock().unwrap();
+    let _g = serial();
     let allocs =
         steady_state_allocs_cfg(placed_cfg(lci_fabric::DeviceConfig::ibv()), 256 << 10, 16, 32);
     assert_eq!(
@@ -280,7 +298,7 @@ fn placed_rendezvous_steady_state_is_allocation_free() {
 /// per rank and the global counter covers both sides of the exchange.
 #[test]
 fn collective_allreduce_steady_state_is_allocation_free() {
-    let _g = SERIAL.lock().unwrap();
+    let _g = serial();
     const WARMUP: usize = 8;
     const ITERS: usize = 32;
     // 64 KiB payload -> 32 KiB ring blocks -> eight 4 KiB chunks per
@@ -333,7 +351,7 @@ fn collective_allreduce_steady_state_is_allocation_free() {
 /// ranks so the sparse skip path (zero-byte pair) really runs.
 #[test]
 fn collective_alltoallv_steady_state_is_allocation_free() {
-    let _g = SERIAL.lock().unwrap();
+    let _g = serial();
     const WARMUP: usize = 8;
     const ITERS: usize = 32;
     // counts[src][dst]: a skewed sparse matrix exercising every block
@@ -387,7 +405,7 @@ fn collective_alltoallv_steady_state_is_allocation_free() {
 /// proves the harness counts what it claims to count.
 #[test]
 fn recycling_off_allocates_per_operation() {
-    let _g = SERIAL.lock().unwrap();
+    let _g = serial();
     let iters = 256;
     let allocs = steady_state_allocs(false, 512, 64, iters);
     assert!(

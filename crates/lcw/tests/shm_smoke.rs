@@ -10,11 +10,13 @@
 //! becomes a rank. The whole suite is transport-agnostic: it runs over
 //! shm by default and over the tcp mesh with `LCI_TRANSPORT=tcp` — the
 //! launcher picks the rendezvous, and `World::from_env` follows it.
+//! The two rank-doorbell tests at the end are about the shm wire and
+//! return early on tcp.
 #![cfg(unix)]
 
-use lci_fabric::bootstrap::test_child_args;
+use lci_fabric::bootstrap::{test_child_args, ENV_TRANSPORT};
 use lcw::{BackendKind, Platform, QuiesceError, ResourceMode, World, WorldConfig};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const JOB_TIMEOUT: Duration = Duration::from_secs(120);
 const QUIESCE: Duration = Duration::from_secs(30);
@@ -262,4 +264,109 @@ fn multiproc_abrupt_peer_exit() {
             }
         }
     }
+}
+
+/// Whether the launcher picked the tcp mesh. The rank-doorbell tests
+/// below are about the shm wire only.
+fn on_tcp() -> bool {
+    std::env::var(ENV_TRANSPORT).is_ok_and(|v| v.trim() == "tcp")
+}
+
+/// Busy-polling ranks (`Workers` progress) never park, so a producer
+/// never needs a futex wake, and no doorbell helper thread runs.
+#[test]
+fn workers_pingpong_makes_no_wakes() {
+    if on_tcp() {
+        return;
+    }
+    let Some(w) = launch(2, "workers_pingpong_makes_no_wakes", shm_cfg()) else { return };
+    let mut ep = w.endpoint(0);
+    const ROUNDS: u32 = 2000;
+    let peer = 1 - w.rank();
+    for i in 0..ROUNDS {
+        if w.rank() == 0 {
+            while !ep.send_am(peer, &i.to_le_bytes(), i) {
+                ep.progress();
+            }
+        }
+        let m = recv_msg(&mut ep);
+        assert_eq!((m.src, m.tag), (peer, i));
+        if w.rank() == 1 {
+            while !ep.send_am(peer, &m.data, i) {
+                ep.progress();
+            }
+        }
+    }
+    ep.quiesce(QUIESCE).expect("drain");
+    let stats = ep.lci_device().expect("lci").stats();
+    assert!(stats.shm_ring_hwm > 0, "traffic never crossed the segment");
+    assert_eq!(stats.doorbell_cross_proc_wakes, 0, "a busy-polling rank was woken");
+    #[cfg(target_os = "linux")]
+    {
+        let names: Vec<String> = std::fs::read_dir("/proc/self/task")
+            .expect("/proc/self/task")
+            .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+            .collect();
+        assert!(!names.is_empty());
+        assert!(
+            names.iter().all(|n| !n.starts_with("lci-shm-bridge")),
+            "doorbell bridge thread running: {names:?}"
+        );
+    }
+}
+
+/// Two dedicated progress engines per rank, each owning one endpoint's
+/// device, are both parked on the rank's segment doorbell when a
+/// message arrives. Every arrival must wake its device's engine at once;
+/// a lost wakeup stalls the round until the 250 ms park timeout.
+#[test]
+fn dedicated2_parked_engines_wake_promptly() {
+    if on_tcp() {
+        return;
+    }
+    let cfg = WorldConfig::new(BackendKind::Lci, Platform::ShmHost, ResourceMode::Dedicated(2))
+        .with_progress_mode(lci::ProgressMode::Dedicated(2));
+    let Some(w) = launch(2, "dedicated2_parked_engines_wake_promptly", cfg) else { return };
+    let mut eps = [w.endpoint(0), w.endpoint(1)];
+    // Long enough for both ranks' engines to run out their spin ramp and
+    // park before each message.
+    const IDLE: Duration = Duration::from_millis(20);
+    const ROUNDS: u32 = 24;
+    // The worker yields while it waits: the engines need the core.
+    let recv = |ep: &mut lcw::Endpoint| loop {
+        if let Some(m) = ep.poll_msg() {
+            return m;
+        }
+        std::thread::yield_now();
+    };
+    let peer = 1 - w.rank();
+    let mut worst = Duration::ZERO;
+    for i in 0..ROUNDS {
+        let ep = &mut eps[i as usize % 2];
+        if w.rank() == 0 {
+            std::thread::sleep(IDLE);
+            let t0 = Instant::now();
+            while !ep.send_am(peer, &i.to_le_bytes(), i) {
+                ep.progress();
+            }
+            let m = recv(ep);
+            assert_eq!((m.src, m.tag), (peer, i));
+            // The echo itself waits out the peer's IDLE.
+            worst = worst.max(t0.elapsed().saturating_sub(IDLE));
+        } else {
+            let m = recv(ep);
+            assert_eq!((m.src, m.tag), (peer, i));
+            std::thread::sleep(IDLE);
+            while !ep.send_am(peer, &m.data, i) {
+                ep.progress();
+            }
+        }
+    }
+    for ep in &mut eps {
+        ep.quiesce(QUIESCE).expect("drain");
+    }
+    assert!(worst < Duration::from_millis(100), "slowest round took {worst:?} beyond its idle");
+    let stats = eps[0].lci_device().expect("lci").stats();
+    assert!(stats.progress_parks > 0, "the engines never parked");
+    assert!(stats.doorbell_cross_proc_wakes > 0, "no parked engine was woken by a ring");
 }
